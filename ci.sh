@@ -22,6 +22,12 @@ fi
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+# The workspace tests above build the debug profile. Release turns off
+# overflow checks and debug assertions and lets the optimiser reorder
+# code, so a wrong answer can show only there (Baix::locate once did).
+echo "==> cargo test --release (ngs-bamx, ngs-bgzf)"
+cargo test --release --quiet -p ngs-bamx -p ngs-bgzf
+
 echo "==> cargo clippy --workspace --all-targets (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

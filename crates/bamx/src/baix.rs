@@ -82,16 +82,14 @@ impl Baix {
     /// range).
     pub fn locate(&self, ref_id: i32, region: &Region) -> std::ops::Range<usize> {
         // Saturating key: any in-domain bound packs exactly; a bound past
-        // i32::MAX maps to the first key of the *next* reference, which is
-        // the supremum of every key on this one. Negative bounds (the
-        // Region constructor rejects them, but stay total anyway) clamp
-        // to position 0.
+        // i32::MAX clamps to 2^31, which sorts after every position on
+        // this reference and before the next one's keys. Negative bounds
+        // (the Region constructor rejects them, but stay total anyway)
+        // clamp to position 0. Keep this branch-free: a version that
+        // branched to `position_key(ref_id, i32::MAX).wrapping_add(1)`
+        // was miscompiled in release builds.
         let key_for = |bound: i64| -> u64 {
-            if bound > i32::MAX as i64 {
-                position_key(ref_id, i32::MAX).wrapping_add(1)
-            } else {
-                position_key(ref_id, bound.max(0) as i32)
-            }
+            ((ref_id as u32 as u64) << 32) + bound.clamp(0, 1 << 31) as u64
         };
         let lo_key = key_for(region.start0);
         let hi_key = key_for(region.end0);

@@ -51,6 +51,7 @@ use ngs_formats::flags::Flags;
 use ngs_formats::header::SamHeader;
 use ngs_formats::record::AlignmentRecord;
 use ngs_formats::seq;
+use rayon::prelude::*;
 
 use crate::baix::position_key;
 use crate::column::{self, get_varint, put_varint, unzigzag, zigzag, ColumnKind, ColumnSet, N_COLUMNS};
@@ -103,6 +104,15 @@ impl BlockEntry {
     }
 }
 
+/// A full block waiting for its DEFLATE columns to be compressed.
+struct SealedBlock {
+    n_records: u32,
+    first_key: u64,
+    /// Raw columns; `write_sealed` swaps each DEFLATE column for its
+    /// compressed stream before writing.
+    cols: [Vec<u8>; N_COLUMNS],
+}
+
 /// Streaming v2 writer. Like [`BamxWriter`](crate::BamxWriter) the
 /// caller provides the layout up front — v2 keeps it for encode-time
 /// validation bounds and for the version-tagged repository fingerprint,
@@ -118,6 +128,10 @@ pub struct V2Writer<W: Write> {
     first_key: u64,
     prev_ref: i64,
     prev_pos: i64,
+    /// Sealed blocks awaiting compression, in file order.
+    sealed: Vec<SealedBlock>,
+    /// Sealed blocks compressed together, one per worker thread.
+    batch: usize,
     blocks: Vec<BlockEntry>,
     /// Bytes written so far (absolute offset of the next byte).
     pos: u64,
@@ -173,6 +187,8 @@ impl<W: Write> V2Writer<W> {
             first_key: 0,
             prev_ref: 0,
             prev_pos: 0,
+            sealed: Vec::new(),
+            batch: rayon::current_num_threads(),
             blocks: Vec::new(),
             pos,
             n_records: 0,
@@ -270,47 +286,67 @@ impl<W: Write> V2Writer<W> {
         self.block_records += 1;
         self.n_records += 1;
         if self.block_records == self.records_per_block {
-            self.flush_block()?;
+            self.seal_block();
+            if self.sealed.len() >= self.batch {
+                self.write_sealed()?;
+            }
         }
         Ok(())
     }
 
-    fn flush_block(&mut self) -> Result<()> {
+    /// Moves the open block's columns onto the sealed list.
+    fn seal_block(&mut self) {
         if self.block_records == 0 {
-            return Ok(());
+            return;
         }
-        let offset = self.pos;
-        let mut lens = [0u32; N_COLUMNS];
-        for kind in ColumnKind::ALL {
-            let raw = std::mem::take(&mut self.cols[kind.index()]);
-            let stream = if kind.deflated() {
-                let mut s = Vec::with_capacity(raw.len() / 2 + 8);
-                s.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-                s.extend_from_slice(&deflate(&raw, Options::from_level(DEFLATE_LEVEL)));
-                s
-            } else {
-                raw
-            };
-            if stream.len() > u32::MAX as usize {
-                return Err(Error::InvalidRecord(format!(
-                    "v2 column stream '{}' exceeds 4 GiB in one block",
-                    kind.name()
-                )));
-            }
-            lens[kind.index()] = stream.len() as u32;
-            self.inner.write_all(&stream)?;
-            self.pos += stream.len() as u64;
-        }
-        self.blocks.push(BlockEntry {
-            offset,
+        self.sealed.push(SealedBlock {
             n_records: self.block_records,
             first_key: self.first_key,
-            lens,
+            cols: std::mem::take(&mut self.cols),
         });
         self.block_records = 0;
         self.first_key = 0;
         self.prev_ref = 0;
         self.prev_pos = 0;
+    }
+
+    /// Compresses the DEFLATE columns of every sealed block in parallel,
+    /// one block per task, then writes the blocks in order. Each stream
+    /// is the same function of its raw column as when compressed
+    /// serially, so the file bytes do not depend on the batch size.
+    fn write_sealed(&mut self) -> Result<()> {
+        self.sealed.par_chunks_mut(1).for_each(|blocks| {
+            for block in blocks {
+                for kind in ColumnKind::ALL.into_iter().filter(|k| k.deflated()) {
+                    let raw = &mut block.cols[kind.index()];
+                    let mut s = Vec::with_capacity(raw.len() / 2 + 8);
+                    s.extend_from_slice(&(raw.len() as u32).to_le_bytes());
+                    s.extend_from_slice(&deflate(raw, Options::from_level(DEFLATE_LEVEL)));
+                    *raw = s;
+                }
+            }
+        });
+        for block in std::mem::take(&mut self.sealed) {
+            let offset = self.pos;
+            let mut lens = [0u32; N_COLUMNS];
+            for (kind, stream) in ColumnKind::ALL.into_iter().zip(block.cols) {
+                if stream.len() > u32::MAX as usize {
+                    return Err(Error::InvalidRecord(format!(
+                        "v2 column stream '{}' exceeds 4 GiB in one block",
+                        kind.name()
+                    )));
+                }
+                lens[kind.index()] = stream.len() as u32;
+                self.inner.write_all(&stream)?;
+                self.pos += stream.len() as u64;
+            }
+            self.blocks.push(BlockEntry {
+                offset,
+                n_records: block.n_records,
+                first_key: block.first_key,
+                lens,
+            });
+        }
         Ok(())
     }
 
@@ -322,7 +358,8 @@ impl<W: Write> V2Writer<W> {
     /// Flushes the open block, writes the footer index and trailer, and
     /// returns the sink.
     pub fn finish(mut self) -> Result<W> {
-        self.flush_block()?;
+        self.seal_block();
+        self.write_sealed()?;
         let footer_offset = self.pos;
         let mut footer = Vec::with_capacity(self.blocks.len() * FOOTER_ENTRY as usize);
         for b in &self.blocks {

@@ -95,15 +95,17 @@ impl<'a> Matcher<'a> {
         while cand >= 0 && (cand as usize) >= window_floor && chain > 0 {
             let c = cand as usize;
             debug_assert!(c < i);
-            let mut l = 0usize;
-            while l < max_len && data[c + l] == data[i + l] {
-                l += 1;
-            }
-            if l > best_len {
-                best_len = l;
-                best_dist = i - c;
-                if l >= self.params.good_enough || l == max_len {
-                    break;
+            // Scan-end reject: a candidate that differs at `best_len`
+            // cannot be longer than the best match so far. `best_len <
+            // max_len` holds here (the loop breaks on `l == max_len`).
+            if data[c + best_len] == data[i + best_len] {
+                let l = common_prefix(data, c, i, max_len);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - c;
+                    if l >= self.params.good_enough || l == max_len {
+                        break;
+                    }
                 }
             }
             cand = self.prev[c];
@@ -121,8 +123,11 @@ impl<'a> Matcher<'a> {
         let data = self.data;
         let n = data.len();
         let mut i = 0usize;
+        // The lazy step's match at `i + 1`, kept when it wins so the next
+        // iteration does not search the same position twice.
+        let mut lookahead = None;
         while i < n {
-            let cur = self.longest_match(i);
+            let cur = lookahead.take().or_else(|| self.longest_match(i));
             match cur {
                 None => {
                     sink(Token::Literal(data[i]));
@@ -134,12 +139,12 @@ impl<'a> Matcher<'a> {
                     // longer match, emit this byte as a literal instead.
                     if self.params.lazy && len < self.params.good_enough && i + 1 < n {
                         self.insert(i);
-                        if let Some((nlen, _)) = self.longest_match(i + 1) {
-                            if nlen > len {
-                                sink(Token::Literal(data[i]));
-                                i += 1;
-                                continue;
-                            }
+                        let next = self.longest_match(i + 1);
+                        if next.is_some_and(|(nlen, _)| nlen > len) {
+                            sink(Token::Literal(data[i]));
+                            lookahead = next;
+                            i += 1;
+                            continue;
                         }
                         sink(Token::Match { len: len as u16, dist: dist as u16 });
                         // Position i already inserted; insert the rest.
@@ -158,6 +163,26 @@ impl<'a> Matcher<'a> {
             }
         }
     }
+}
+
+/// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
+/// `max`; compares eight bytes per step. Requires `a < b` and
+/// `b + max <= data.len()`.
+#[inline]
+fn common_prefix(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+    let word = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().expect("8-byte slice"));
+    let mut l = 0usize;
+    while l + 8 <= max {
+        let diff = word(a + l) ^ word(b + l);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < max && data[a + l] == data[b + l] {
+        l += 1;
+    }
+    l
 }
 
 #[cfg(test)]

@@ -50,13 +50,18 @@ pub fn encode_record(record: &AlignmentRecord, header: &SamHeader, out: &mut Vec
     if name_len > 255 {
         return Err(Error::InvalidBam("read name longer than 254 bytes".into()));
     }
+    // n_cigar_op is a u16 on the wire. Longer CIGARs need the `CG:B,I`
+    // tag convention, which this encoder does not write.
+    let n_cigar = u16::try_from(record.cigar.len()).map_err(|_| {
+        Error::InvalidBam(format!("{} CIGAR operations exceed BAM's 65535", record.cigar.len()))
+    })?;
 
     out.extend_from_slice(&(ref_id).to_le_bytes());
     out.extend_from_slice(&(pos0 as i32).to_le_bytes());
     out.push(name_len as u8);
     out.push(record.mapq);
     out.extend_from_slice(&bin.to_le_bytes());
-    out.extend_from_slice(&(record.cigar.len() as u16).to_le_bytes());
+    out.extend_from_slice(&n_cigar.to_le_bytes());
     out.extend_from_slice(&record.flag.0.to_le_bytes());
     out.extend_from_slice(&(record.seq.len() as u32).to_le_bytes());
     out.extend_from_slice(&next_ref_id.to_le_bytes());
@@ -572,6 +577,27 @@ mod tests {
         assert_eq!(block_size, buf.len() - 4);
         let decoded = decode_record(&buf[4..], &header).unwrap();
         assert_eq!(decoded, rec);
+    }
+
+    #[test]
+    fn cigar_longer_than_u16_is_rejected() {
+        let header = test_header();
+        let mut rec = rich_record();
+        rec.cigar = Cigar([(1, CigarOp::Match), (1, CigarOp::Insertion)].repeat(35_000));
+        rec.seq = vec![b'A'; 70_000];
+        rec.qual = vec![30; 70_000];
+        let mut buf = Vec::new();
+        match encode_record(&rec, &header, &mut buf) {
+            Err(Error::InvalidBam(msg)) => assert!(msg.contains("CIGAR"), "{msg}"),
+            other => panic!("expected InvalidBam, got {other:?}"),
+        }
+        // The largest encodable CIGAR still round-trips.
+        rec.cigar = Cigar(vec![(1, CigarOp::Match); 65_535]);
+        rec.seq = vec![b'A'; 65_535];
+        rec.qual = vec![30; 65_535];
+        let mut buf = Vec::new();
+        encode_record(&rec, &header, &mut buf).unwrap();
+        assert_eq!(decode_record(&buf[4..], &header).unwrap(), rec);
     }
 
     #[test]
