@@ -19,6 +19,13 @@ if [ "$quick" -eq 0 ]; then
     cargo build --workspace --release
 fi
 
+# Simulated-cluster figures end to end: every `*_simulated` entry point
+# (SAM, BAM full/partial, SAMX preprocess + shards, NL-means, both FDR
+# variants) at smoke scale (DESIGN.md §4b).
+echo "==> repro fig6..fig12 (simulated-cluster figures, smoke scale)"
+cargo run --release -p ngs-bench --bin repro -- \
+    fig6 fig7 fig8 fig9 fig10 fig11 fig12 --scale 0.02 > /dev/null
+
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 

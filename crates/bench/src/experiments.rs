@@ -1,9 +1,9 @@
 //! One function per table/figure of the paper's evaluation (Section V).
 //!
 //! All parallel timings use the *simulated-cluster* execution mode (each
-//! rank's loop timed alone; makespan = max) so the speedup shapes are
-//! observable regardless of host core count — see DESIGN.md §3 and the
-//! `ngs-converter::simulate` module docs. Results are returned as
+//! rank's loop timed alone by `ngs_cluster::run_ranks_alone`; makespan =
+//! max) so the speedup shapes are observable regardless of host core
+//! count — see DESIGN.md §4b. Results are returned as
 //! [`Figure`]/[`Table1`] values whose `Display` renders the same
 //! rows/series the paper reports.
 

@@ -11,6 +11,11 @@
 //! Algorithm 2 all execute their distributed communication patterns
 //! faithfully.
 //!
+//! [`run_ranks_alone`] is the other executor: it runs the same per-rank
+//! work one rank at a time and times each ([`SimTiming`]), the
+//! simulated-cluster mode behind the paper's speedup figures
+//! (DESIGN.md §4b).
+//!
 //! ```
 //! use ngs_cluster::run_ranks;
 //!
@@ -25,5 +30,5 @@ pub mod scope;
 pub mod transport;
 
 pub use comm::Communicator;
-pub use scope::{run_ranks, time_ranks};
+pub use scope::{run_ranks, run_ranks_alone, SimTiming};
 pub use transport::{Transport, BARRIER_TAG, RESERVED_TAG_BASE};

@@ -14,12 +14,14 @@ use ngs_bamx::repo::{layout_fingerprint_versioned, ShardRepo, FINGERPRINT_NONE};
 use ngs_bamx::{
     AnyBamxWriter, Baix, BamxCompression, BamxFile, BamxLayout, BamxVersion, ColumnSet, Region,
 };
-use ngs_cluster::run_ranks;
 use ngs_formats::bam::BamReader;
 use ngs_formats::error::{Error, Result};
 use ngs_formats::record::AlignmentRecord;
 
-use crate::runtime::{ConvertConfig, ConvertReport, RankOutput, RankStats};
+use crate::runtime::{
+    collect_ranks, rank_share, stem_of, ConvertConfig, ConvertReport, Executor, RankOutput,
+    RankStats,
+};
 use crate::target::{builtin, TargetFormat};
 
 /// Result of the preprocessing phase.
@@ -101,10 +103,7 @@ impl BamConverter {
         resume: bool,
     ) -> Result<PreprocessReport> {
         let input_bam = input_bam.as_ref();
-        let stem = input_bam
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "input".into());
+        let stem = stem_of(input_bam, "input");
         let bamx_name = format!("{stem}.bamx");
         let baix_name = format!("{stem}.baix");
         let bamx_path = repo.dir().join(&bamx_name);
@@ -193,32 +192,50 @@ impl BamConverter {
         target: TargetFormat,
         out_dir: impl AsRef<Path>,
     ) -> Result<ConvertReport> {
-        let bamx_path = bamx_path.as_ref();
-        let out_dir = out_dir.as_ref();
+        self.convert_bamx_on(Executor::Threads, bamx_path.as_ref(), target, out_dir.as_ref())
+    }
+
+    /// Simulated-cluster twin of
+    /// [`convert_bamx`](BamConverter::convert_bamx): identical outputs,
+    /// `convert_time` is the makespan.
+    pub fn convert_bamx_simulated(
+        &self,
+        bamx_path: impl AsRef<Path>,
+        target: TargetFormat,
+        out_dir: impl AsRef<Path>,
+    ) -> Result<ConvertReport> {
+        self.convert_bamx_on(Executor::Simulated, bamx_path.as_ref(), target, out_dir.as_ref())
+    }
+
+    fn convert_bamx_on(
+        &self,
+        exec: Executor,
+        bamx_path: &Path,
+        target: TargetFormat,
+        out_dir: &Path,
+    ) -> Result<ConvertReport> {
         std::fs::create_dir_all(out_dir)?;
-        let stem = bamx_path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "bamx".into());
-
-        let probe = BamxFile::open(bamx_path)?;
-        let n_records = probe.len();
-        drop(probe);
-
-        let t = Instant::now();
-        let results: Vec<Result<(RankStats, PathBuf)>> =
-            run_ranks(self.config.ranks, |comm| {
-                let rank = comm.rank();
-                let n = comm.size() as u64;
-                let lo = rank as u64 * n_records / n;
-                let hi = (rank as u64 + 1) * n_records / n;
-                // Each rank opens its own handle (independent preads).
-                let shard = BamxFile::open(bamx_path)?;
-                convert_record_range(&shard, lo, hi, target, out_dir, &stem, rank, rank == 0, &self.config)
-            });
-        let convert_time = t.elapsed();
-
-        collect_report(results, convert_time)
+        let stem = stem_of(bamx_path, "bamx");
+        let ranks = self.config.ranks;
+        let (results, convert_time) = exec.run(ranks, |rank, _| {
+            // Each rank opens its own handle (independent preads).
+            let shard = BamxFile::open(bamx_path)?;
+            let share = rank_share(rank, ranks, shard.len());
+            convert_record_range(
+                &shard,
+                share.start,
+                share.end,
+                target,
+                out_dir,
+                &stem,
+                rank,
+                rank == 0,
+                &self.config,
+            )
+        });
+        let mut report = ConvertReport { convert_time, ..Default::default() };
+        collect_ranks(&mut report, results)?;
+        Ok(report)
     }
 
     /// Parallel *partial* conversion: only alignments whose start falls
@@ -232,48 +249,64 @@ impl BamConverter {
         target: TargetFormat,
         out_dir: impl AsRef<Path>,
     ) -> Result<ConvertReport> {
-        let bamx_path = bamx_path.as_ref();
-        let out_dir = out_dir.as_ref();
+        let (bamx, baix) = (bamx_path.as_ref(), baix_path.as_ref());
+        self.convert_partial_on(Executor::Threads, bamx, baix, region, target, out_dir.as_ref())
+    }
+
+    /// Simulated-cluster twin of
+    /// [`convert_partial`](BamConverter::convert_partial): identical
+    /// outputs, `convert_time` is the makespan.
+    pub fn convert_partial_simulated(
+        &self,
+        bamx_path: impl AsRef<Path>,
+        baix_path: impl AsRef<Path>,
+        region: &Region,
+        target: TargetFormat,
+        out_dir: impl AsRef<Path>,
+    ) -> Result<ConvertReport> {
+        let (bamx, baix) = (bamx_path.as_ref(), baix_path.as_ref());
+        self.convert_partial_on(Executor::Simulated, bamx, baix, region, target, out_dir.as_ref())
+    }
+
+    fn convert_partial_on(
+        &self,
+        exec: Executor,
+        bamx_path: &Path,
+        baix_path: &Path,
+        region: &Region,
+        target: TargetFormat,
+        out_dir: &Path,
+    ) -> Result<ConvertReport> {
         std::fs::create_dir_all(out_dir)?;
         let stem = format!(
             "{}.{}",
-            bamx_path
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "bamx".into()),
+            stem_of(bamx_path, "bamx"),
             region.to_string().replace([':', '-'], "_")
         );
-
-        let probe = BamxFile::open(bamx_path)?;
-        let ref_id = region.resolve(probe.header())?;
-        drop(probe);
+        let ref_id = region.resolve(BamxFile::open(bamx_path)?.header())?;
         let baix = Baix::load(baix_path)?;
         // The BAIX region: binary search over sorted start positions.
-        let entry_range = baix.locate(ref_id, region);
-        let indices = baix.shard_indices(entry_range);
+        let indices = baix.shard_indices(baix.locate(ref_id, region));
 
-        let t = Instant::now();
-        let results: Vec<Result<(RankStats, PathBuf)>> =
-            run_ranks(self.config.ranks, |comm| {
-                let rank = comm.rank();
-                let n = comm.size();
-                // Evenly split the BAIX subregion across ranks.
-                let lo = rank * indices.len() / n;
-                let hi = (rank + 1) * indices.len() / n;
-                let shard = BamxFile::open(bamx_path)?;
-                convert_index_list(
-                    &shard,
-                    &indices[lo..hi],
-                    target,
-                    out_dir,
-                    &stem,
-                    rank,
-                    rank == 0,
-                    &self.config,
-                )
-            });
-        let convert_time = t.elapsed();
-        collect_report(results, convert_time)
+        let ranks = self.config.ranks;
+        let (results, convert_time) = exec.run(ranks, |rank, _| {
+            // Evenly split the BAIX subregion across ranks.
+            let share = rank_share(rank, ranks, indices.len() as u64);
+            let shard = BamxFile::open(bamx_path)?;
+            convert_index_list(
+                &shard,
+                &indices[share.start as usize..share.end as usize],
+                target,
+                out_dir,
+                &stem,
+                rank,
+                rank == 0,
+                &self.config,
+            )
+        });
+        let mut report = ConvertReport { convert_time, ..Default::default() };
+        collect_ranks(&mut report, results)?;
+        Ok(report)
     }
 
     /// Sequential conversion *without* preprocessing (used by the Table I
@@ -287,10 +320,7 @@ impl BamConverter {
         let input_bam = input_bam.as_ref();
         let out_dir = out_dir.as_ref();
         std::fs::create_dir_all(out_dir)?;
-        let stem = input_bam
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "input".into());
+        let stem = stem_of(input_bam, "input");
 
         let t = Instant::now();
         let mut reader = BamReader::new(BufReader::new(std::fs::File::open(input_bam)?))?;
@@ -328,19 +358,6 @@ impl BamConverter {
             ..Default::default()
         })
     }
-}
-
-fn collect_report(
-    results: Vec<Result<(RankStats, PathBuf)>>,
-    convert_time: Duration,
-) -> Result<ConvertReport> {
-    let mut report = ConvertReport { convert_time, ..Default::default() };
-    for r in results {
-        let (stats, path) = r?;
-        report.per_rank.push(stats);
-        report.outputs.push(path);
-    }
-    Ok(report)
 }
 
 /// Converts a contiguous record range of a BAMX shard. `write_prologue`

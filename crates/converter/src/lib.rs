@@ -16,6 +16,15 @@
 //! [`baseline::PicardLikeConverter`] reproduces the architecture of the
 //! paper's sequential comparison target (Picard/SAM-JDK) for Table I.
 //!
+//! Every parallel entry point has a `*_simulated` twin for the paper's
+//! speedup figures on hosts with fewer cores than ranks (DESIGN.md §4b).
+//! The twin runs the same setup and the same per-rank body, but each
+//! rank runs alone and is timed ([`ngs_cluster::run_ranks_alone`]); the
+//! reported phase time is the makespan, `max(rank times)`. SAM text is
+//! then split by [`partition_serial`], property-tested equal to the
+//! distributed Algorithm 1. Outputs are byte-identical to the threaded
+//! run.
+//!
 //! Targets: SAM, BAM, BED, BEDGRAPH, FASTA, FASTQ, JSON, YAML — or any
 //! user type implementing [`target::RecordConverter`].
 
@@ -26,7 +35,6 @@ pub mod runtime;
 pub mod sam_converter;
 pub mod samx_converter;
 pub mod scan;
-pub mod simulate;
 pub mod source;
 pub mod target;
 

@@ -1,15 +1,17 @@
-//! Shared converter runtime pieces: configuration, reports, header
-//! scanning, and the per-rank buffered output writer.
+//! Shared converter runtime pieces: configuration, reports, the rank
+//! executor, header scanning, and the per-rank buffered output writer.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use ngs_cluster::{run_ranks, run_ranks_alone, Communicator};
 use ngs_formats::error::Result;
 use ngs_formats::header::SamHeader;
 
-use crate::partition::Variant;
+use crate::partition::{partition_distributed, partition_serial, ByteRange, Variant};
 use crate::source::ByteSource;
 
 /// Converter runtime configuration.
@@ -95,6 +97,101 @@ impl ConvertReport {
     pub fn total_time(&self) -> Duration {
         self.preprocess_time + self.partition_time + self.convert_time
     }
+}
+
+/// Where a converter runs its ranks. Every entry point and its
+/// `*_simulated` twin share one setup and one per-rank body; only the
+/// executor differs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Executor {
+    /// All ranks at once on OS threads ([`run_ranks`]); the phase time
+    /// is wall clock.
+    Threads,
+    /// One rank at a time, each timed alone ([`run_ranks_alone`]); the
+    /// phase time is the simulated makespan (DESIGN.md §4b).
+    Simulated,
+}
+
+impl Executor {
+    /// Runs `body(rank, comm)` for every rank; returns the results in
+    /// rank order and the phase time. `comm` is the rank's communicator
+    /// on threads and `None` for a rank that runs alone.
+    pub(crate) fn run<R: Send>(
+        self,
+        ranks: usize,
+        body: impl Fn(usize, Option<&Communicator>) -> R + Sync,
+    ) -> (Vec<R>, Duration) {
+        match self {
+            Executor::Threads => {
+                let t = Instant::now();
+                let results = run_ranks(ranks, |comm| body(comm.rank(), Some(comm)));
+                (results, t.elapsed())
+            }
+            Executor::Simulated => {
+                let (results, timing) = run_ranks_alone(ranks, |rank| body(rank, None));
+                (results, timing.makespan())
+            }
+        }
+    }
+
+    /// Algorithm 1 ahead of the run, for ranks that run alone:
+    /// [`partition_serial`], property-tested equal to the distributed
+    /// version. Threaded ranks partition collectively inside the run
+    /// (see [`rank_slice`]), so this is empty for them.
+    pub(crate) fn presplit<S: ByteSource + ?Sized>(
+        self,
+        source: &S,
+        config: &ConvertConfig,
+    ) -> Result<Vec<ByteRange>> {
+        match self {
+            Executor::Threads => Ok(Vec::new()),
+            Executor::Simulated => partition_serial(source, config.ranks, config.variant),
+        }
+    }
+}
+
+/// One rank's slice of SAM text: Algorithm 1 run collectively when the
+/// rank has a communicator (every rank must join), else its entry of
+/// [`Executor::presplit`].
+pub(crate) fn rank_slice<S: ByteSource + ?Sized>(
+    source: &S,
+    variant: Variant,
+    presplit: &[ByteRange],
+    rank: usize,
+    comm: Option<&Communicator>,
+) -> Result<ByteRange> {
+    match comm {
+        Some(comm) => partition_distributed(source, comm, variant),
+        None => Ok(presplit[rank]),
+    }
+}
+
+/// Records `[lo, hi)` of rank `rank` out of `ranks` when `len` records
+/// split evenly.
+pub(crate) fn rank_share(rank: usize, ranks: usize, len: u64) -> Range<u64> {
+    rank as u64 * len / ranks as u64..(rank as u64 + 1) * len / ranks as u64
+}
+
+/// The file stem of `path`, or `fallback` when it has none; output part
+/// files are named after it.
+pub(crate) fn stem_of(path: &Path, fallback: &str) -> String {
+    path.file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| fallback.to_string())
+}
+
+/// Appends per-rank results (in rank order) to `report`; the first rank
+/// error wins.
+pub(crate) fn collect_ranks(
+    report: &mut ConvertReport,
+    results: Vec<Result<(RankStats, PathBuf)>>,
+) -> Result<()> {
+    for r in results {
+        let (stats, path) = r?;
+        report.per_rank.push(stats);
+        report.outputs.push(path);
+    }
+    Ok(())
 }
 
 /// Scans the SAM header (`@`-prefixed lines) from the start of a source.

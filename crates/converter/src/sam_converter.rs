@@ -7,15 +7,17 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use ngs_cluster::run_ranks;
 use ngs_formats::bam::BamWriter;
 use ngs_formats::error::{Error, Result};
 use ngs_formats::header::SamHeader;
 use ngs_formats::record::AlignmentRecord;
 use ngs_formats::sam;
 
-use crate::partition::{partition_distributed, ByteRange};
-use crate::runtime::{scan_sam_header, ConvertConfig, ConvertReport, RankOutput, RankStats};
+use crate::partition::ByteRange;
+use crate::runtime::{
+    collect_ranks, rank_slice, scan_sam_header, stem_of, ConvertConfig, ConvertReport, Executor,
+    RankOutput, RankStats,
+};
 use crate::source::{ByteSource, FileSource};
 use crate::target::{builtin, TargetFormat};
 
@@ -40,11 +42,7 @@ impl SamConverter {
         out_dir: impl AsRef<Path>,
     ) -> Result<ConvertReport> {
         let source = FileSource::open(input.as_ref())?;
-        let stem = input
-            .as_ref()
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "converted".to_string());
+        let stem = stem_of(input.as_ref(), "converted");
         self.convert_source(&source, target, out_dir.as_ref(), &stem)
     }
 
@@ -56,40 +54,46 @@ impl SamConverter {
         out_dir: &Path,
         stem: &str,
     ) -> Result<ConvertReport> {
+        self.convert_source_on(Executor::Threads, source, target, out_dir, stem)
+    }
+
+    /// Simulated-cluster twin of
+    /// [`convert_source`](SamConverter::convert_source): the same rank
+    /// bodies run alone over [`partition_serial`](crate::partition_serial)
+    /// slices; identical outputs, `convert_time` is the makespan.
+    pub fn convert_source_simulated<S: ByteSource + ?Sized>(
+        &self,
+        source: &S,
+        target: TargetFormat,
+        out_dir: &Path,
+        stem: &str,
+    ) -> Result<ConvertReport> {
+        self.convert_source_on(Executor::Simulated, source, target, out_dir, stem)
+    }
+
+    fn convert_source_on<S: ByteSource + ?Sized>(
+        &self,
+        exec: Executor,
+        source: &S,
+        target: TargetFormat,
+        out_dir: &Path,
+        stem: &str,
+    ) -> Result<ConvertReport> {
         std::fs::create_dir_all(out_dir)?;
         let (header, _) = scan_sam_header(source)?;
 
+        // Threaded ranks partition inside the run, so this times only the
+        // simulated run's serial Algorithm 1.
         let t_partition = Instant::now();
-        // Partitioning runs inside the rank world below, but we time the
-        // serial reference pass here to expose its (trivial) cost.
+        let presplit = exec.presplit(source, &self.config)?;
         let partition_time = t_partition.elapsed();
 
-        let t_convert = Instant::now();
-        let results: Vec<Result<(RankStats, PathBuf)>> = run_ranks(self.config.ranks, |comm| {
-            let range = partition_distributed(source, comm, self.config.variant)?;
-            convert_sam_range(
-                source,
-                range,
-                &header,
-                target,
-                out_dir,
-                stem,
-                comm.rank(),
-                &self.config,
-            )
+        let (results, convert_time) = exec.run(self.config.ranks, |rank, comm| {
+            let range = rank_slice(source, self.config.variant, &presplit, rank, comm)?;
+            convert_sam_range(source, range, &header, target, out_dir, stem, rank, &self.config)
         });
-        let convert_time = t_convert.elapsed();
-
-        let mut report = ConvertReport {
-            partition_time,
-            convert_time,
-            ..Default::default()
-        };
-        for r in results {
-            let (stats, path) = r?;
-            report.per_rank.push(stats);
-            report.outputs.push(path);
-        }
+        let mut report = ConvertReport { partition_time, convert_time, ..Default::default() };
+        collect_ranks(&mut report, results)?;
         Ok(report)
     }
 }

@@ -7,16 +7,17 @@
 //! compact binary shards, skipping text parsing entirely.
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ngs_bamx::repo::{layout_fingerprint_versioned, ShardRepo, FINGERPRINT_NONE};
 use ngs_bamx::{AnyBamxWriter, Baix, BamxCompression, BamxFile, BamxLayout, BamxVersion};
-use ngs_cluster::run_ranks;
 use ngs_formats::error::{Error, Result};
 
 use crate::bam_converter::{compression_name, convert_record_range};
-use crate::partition::partition_distributed;
-use crate::runtime::{scan_sam_header, ConvertConfig, ConvertReport, RankStats};
+use crate::runtime::{
+    collect_ranks, rank_share, rank_slice, scan_sam_header, stem_of, ConvertConfig,
+    ConvertReport, Executor,
+};
 use crate::scan::scan_records;
 use crate::source::{ByteSource, FileSource};
 use crate::target::TargetFormat;
@@ -85,11 +86,7 @@ impl SamxConverter {
         out_dir: impl AsRef<Path>,
     ) -> Result<SamxPreprocessReport> {
         let source = FileSource::open(input.as_ref())?;
-        let stem = input
-            .as_ref()
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "input".into());
+        let stem = stem_of(input.as_ref(), "input");
         self.preprocess_source(&source, out_dir.as_ref(), &stem)
     }
 
@@ -105,13 +102,30 @@ impl SamxConverter {
         self.preprocess_source_repo(source, &repo, stem, false)
     }
 
+    /// Simulated-cluster twin of
+    /// [`preprocess_source`](SamxConverter::preprocess_source): the same
+    /// rank bodies publish the same shards through a [`ShardRepo`] in
+    /// `out_dir`, each rank alone over a
+    /// [`partition_serial`](crate::partition_serial) slice; `elapsed` is
+    /// the makespan.
+    pub fn preprocess_source_simulated<S: ByteSource + ?Sized>(
+        &self,
+        source: &S,
+        out_dir: &Path,
+        stem: &str,
+    ) -> Result<SamxPreprocessReport> {
+        let repo = ShardRepo::create(out_dir)?;
+        self.preprocess_on(Executor::Simulated, source, &repo, stem, false)
+    }
+
     /// [`SamxConverter::preprocess_source`] against an explicit
     /// repository, with optional resume: ranks whose shard pair is
     /// already manifest-verified (and whose recorded `ranks` /
     /// `compression` metadata match this run) skip both scan passes.
     /// Partitioning and layout derivation are deterministic in the input
     /// and rank count, so crash + resume yields a byte-identical shard
-    /// set. Every rank still joins [`partition_distributed`] — it is a
+    /// set. Every rank still joins
+    /// [`partition_distributed`](crate::partition_distributed) — it is a
     /// collective, and skipping it would deadlock the non-resumed ranks.
     ///
     /// The on-disk shard set is reconciled against the manifest meta
@@ -130,6 +144,17 @@ impl SamxConverter {
         stem: &str,
         resume: bool,
     ) -> Result<SamxPreprocessReport> {
+        self.preprocess_on(Executor::Threads, source, repo, stem, resume)
+    }
+
+    fn preprocess_on<S: ByteSource + ?Sized>(
+        &self,
+        exec: Executor,
+        source: &S,
+        repo: &ShardRepo,
+        stem: &str,
+        resume: bool,
+    ) -> Result<SamxPreprocessReport> {
         let (header, _) = scan_sam_header(source)?;
         let compression = compression_name(self.bamx_compression);
         let ranks_meta = self.config.ranks.to_string();
@@ -139,12 +164,12 @@ impl SamxConverter {
         repo.set_meta("ranks", &ranks_meta)?;
         repo.set_meta("compression", compression)?;
         repo.set_meta("format", format)?;
-        let t = Instant::now();
+        let presplit = exec.presplit(source, &self.config)?;
 
-        let results: Vec<Result<Shard>> = run_ranks(self.config.ranks, |comm| {
-            let rank = comm.rank();
-            // Collective: always runs, even for ranks that will resume.
-            let range = partition_distributed(source, comm, self.config.variant)?;
+        let (results, elapsed) = exec.run(self.config.ranks, |rank, comm| {
+            // Collective on threads: always runs, even for ranks that
+            // will resume.
+            let range = rank_slice(source, self.config.variant, &presplit, rank, comm)?;
 
             let bamx_name = format!("{stem}.shard{rank:04}.bamx");
             let baix_name = format!("{stem}.shard{rank:04}.baix");
@@ -194,11 +219,8 @@ impl SamxConverter {
             Ok(Shard { bamx_path, baix_path, records, resumed: false })
         });
 
-        let mut shards = Vec::with_capacity(self.config.ranks);
-        for r in results {
-            shards.push(r?);
-        }
-        Ok(SamxPreprocessReport { shards, elapsed: t.elapsed() })
+        let shards = results.into_iter().collect::<Result<Vec<Shard>>>()?;
+        Ok(SamxPreprocessReport { shards, elapsed })
     }
 
     /// Reconciles the recorded shard set of `stem` against this run's
@@ -265,45 +287,54 @@ impl SamxConverter {
         target: TargetFormat,
         out_dir: impl AsRef<Path>,
     ) -> Result<ConvertReport> {
-        let out_dir = out_dir.as_ref();
-        std::fs::create_dir_all(out_dir)?;
-        let t = Instant::now();
-        let mut report = ConvertReport::default();
+        self.convert_shards_on(Executor::Threads, shards, target, out_dir.as_ref())
+    }
 
+    /// Simulated-cluster twin of
+    /// [`convert_shards`](SamxConverter::convert_shards): identical
+    /// outputs; `convert_time` sums the per-shard makespans (the paper's
+    /// M × N layout: shards one after another, ranks within a shard
+    /// concurrent).
+    pub fn convert_shards_simulated(
+        &self,
+        shards: &[Shard],
+        target: TargetFormat,
+        out_dir: impl AsRef<Path>,
+    ) -> Result<ConvertReport> {
+        self.convert_shards_on(Executor::Simulated, shards, target, out_dir.as_ref())
+    }
+
+    fn convert_shards_on(
+        &self,
+        exec: Executor,
+        shards: &[Shard],
+        target: TargetFormat,
+        out_dir: &Path,
+    ) -> Result<ConvertReport> {
+        std::fs::create_dir_all(out_dir)?;
+        let mut report = ConvertReport::default();
+        let ranks = self.config.ranks;
         for (shard_idx, shard) in shards.iter().enumerate() {
-            let stem = shard
-                .bamx_path
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "shard".into());
-            let n_records = BamxFile::open(&shard.bamx_path)?.len();
-            let results: Vec<Result<(RankStats, PathBuf)>> =
-                run_ranks(self.config.ranks, |comm| {
-                    let rank = comm.rank();
-                    let n = comm.size() as u64;
-                    let lo = rank as u64 * n_records / n;
-                    let hi = (rank as u64 + 1) * n_records / n;
-                    let file = BamxFile::open(&shard.bamx_path)?;
-                    // Only the very first output file carries the prologue.
-                    convert_record_range(
-                        &file,
-                        lo,
-                        hi,
-                        target,
-                        out_dir,
-                        &stem,
-                        rank,
-                        shard_idx == 0 && rank == 0,
-                        &self.config,
-                    )
-                });
-            for r in results {
-                let (stats, path) = r?;
-                report.per_rank.push(stats);
-                report.outputs.push(path);
-            }
+            let stem = stem_of(&shard.bamx_path, "shard");
+            let (results, shard_time) = exec.run(ranks, |rank, _| {
+                let file = BamxFile::open(&shard.bamx_path)?;
+                let share = rank_share(rank, ranks, file.len());
+                // Only the very first output file carries the prologue.
+                convert_record_range(
+                    &file,
+                    share.start,
+                    share.end,
+                    target,
+                    out_dir,
+                    &stem,
+                    rank,
+                    shard_idx == 0 && rank == 0,
+                    &self.config,
+                )
+            });
+            collect_ranks(&mut report, results)?;
+            report.convert_time += shard_time;
         }
-        report.convert_time = t.elapsed();
         Ok(report)
     }
 

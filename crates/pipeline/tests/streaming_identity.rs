@@ -10,7 +10,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use ngs_bamx::{Baix, BamxCompression, BamxFile, Region};
+use ngs_bamx::{Baix, BamxCompression, BamxFile, BamxVersion, Region};
 use ngs_converter::{BamConverter, ConvertConfig, TargetFormat};
 use ngs_fault::{FaultPlan, FaultyFile};
 use ngs_formats::record::AlignmentRecord;
@@ -33,9 +33,19 @@ fn pipeline(workers: usize, batch_size: usize) -> Pipeline {
     Pipeline::with_clock(config(workers, batch_size), Arc::new(ManualClock::new()))
 }
 
-/// Generates a dataset, writes its BAMX + BAIX under `dir`, and returns
-/// the two paths.
+/// Generates a dataset, writes its v1 BAMX + BAIX under `dir`, and
+/// returns the two paths.
 fn make_shard(dir: &Path, n_records: usize, seed: u64) -> (std::path::PathBuf, std::path::PathBuf) {
+    make_shard_versioned(dir, n_records, seed, BamxVersion::V1)
+}
+
+/// [`make_shard`] writing a BAMX of the given version.
+fn make_shard_versioned(
+    dir: &Path,
+    n_records: usize,
+    seed: u64,
+    version: BamxVersion,
+) -> (std::path::PathBuf, std::path::PathBuf) {
     let ds = Dataset::generate(&DatasetSpec {
         n_records,
         n_chroms: 2,
@@ -45,8 +55,14 @@ fn make_shard(dir: &Path, n_records: usize, seed: u64) -> (std::path::PathBuf, s
     });
     let bamx = dir.join("input.bamx");
     let baix = dir.join("input.baix");
-    ngs_bamx::write_bamx_file(&bamx, &ds.genome.header(), &ds.records, BamxCompression::Plain)
-        .unwrap();
+    ngs_bamx::file::write_bamx_file_versioned(
+        &bamx,
+        &ds.genome.header(),
+        &ds.records,
+        BamxCompression::Plain,
+        version,
+    )
+    .unwrap();
     Baix::build(&BamxFile::open(&bamx).unwrap()).unwrap().save(&baix).unwrap();
     (bamx, baix)
 }
@@ -126,34 +142,40 @@ fn streaming_source_honors_the_manifest() {
     }
 }
 
-/// Graph (a), region subset: byte-identical to one-rank
-/// `BamConverter::convert_partial` (same BAIX lookup, same stem).
+/// Graph (a), region subset (`ShardInput { indices: Some(..) }`):
+/// byte-identical to one-rank `BamConverter::convert_partial` (same BAIX
+/// lookup, same stem) over v1 and v2 shards alike.
 #[test]
 fn streaming_region_matches_one_shot_partial_for_every_format() {
-    let dir = tempdir().unwrap();
-    let (bamx, baix) = make_shard(dir.path(), 900, 23);
-    let conv = BamConverter::new(ConvertConfig::with_ranks(1));
-    let probe = BamxFile::open(&bamx).unwrap();
+    for version in [BamxVersion::V1, BamxVersion::V2] {
+        let dir = tempdir().unwrap();
+        let (bamx, baix) = make_shard_versioned(dir.path(), 900, 23, version);
+        let conv = BamConverter::new(ConvertConfig::with_ranks(1));
+        let probe = BamxFile::open(&bamx).unwrap();
+        assert_eq!(probe.version(), version);
 
-    for region_text in ["chr1:1-4000", "chr2:1-100000"] {
-        let region = Region::parse(region_text, probe.header()).unwrap();
-        for format in TargetFormat::ALL {
-            let oneshot_dir = dir.path().join(format!("oneshot-{region_text}-{format:?}"));
-            let report =
-                conv.convert_partial(&bamx, &baix, &region, format, &oneshot_dir).unwrap();
+        for region_text in ["chr1:1-4000", "chr2:1-100000"] {
+            let region = Region::parse(region_text, probe.header()).unwrap();
+            for format in TargetFormat::ALL {
+                let label = format!("{version:?} {region_text} as {format:?}");
+                let oneshot_dir = dir.path().join(format!("oneshot-{region_text}-{format:?}"));
+                let report =
+                    conv.convert_partial(&bamx, &baix, &region, format, &oneshot_dir).unwrap();
 
-            let stream_dir = dir.path().join(format!("stream-{region_text}-{format:?}"));
-            let run = pipeline(3, 32)
-                .convert_region(&bamx, &baix, &region, format, &stream_dir)
-                .unwrap();
+                let stream_dir = dir.path().join(format!("stream-{region_text}-{format:?}"));
+                let run = pipeline(3, 32)
+                    .convert_region(&bamx, &baix, &region, format, &stream_dir)
+                    .unwrap();
 
-            assert_eq!(run.path.file_name(), report.outputs[0].file_name());
-            assert_eq!(
-                std::fs::read(&run.path).unwrap(),
-                std::fs::read(&report.outputs[0]).unwrap(),
-                "{region_text} as {format:?}"
-            );
-            assert_eq!(run.records_in, report.records_in());
+                assert_eq!(run.path.file_name(), report.outputs[0].file_name(), "{label}");
+                assert_eq!(
+                    std::fs::read(&run.path).unwrap(),
+                    std::fs::read(&report.outputs[0]).unwrap(),
+                    "{label}"
+                );
+                assert_eq!(run.records_in, report.records_in(), "{label}");
+                assert_eq!(run.records_out, report.records_out(), "{label}");
+            }
         }
     }
 }

@@ -18,9 +18,18 @@
 //!   reductions separate (two barriers) for the ablation the paper's
 //!   Figure 12 commentary alludes to.
 //!
+//! [`fdr_simulated`] and [`fdr_simulated_two_phase`] run the same
+//! per-rank sums under [`run_ranks_alone`] for the simulated-cluster
+//! figures (DESIGN.md §4b).
+//!
 //! Complexity Θ(M·B²).
 
-use ngs_cluster::run_ranks;
+use std::ops::Range;
+use std::time::Instant;
+
+use ngs_cluster::{run_ranks, run_ranks_alone, SimTiming};
+
+use crate::rank_bins;
 
 /// The FDR inputs: one observed series and `B` simulated series, all of
 /// equal length `M`.
@@ -97,36 +106,49 @@ pub fn fdr_direct(input: &FdrInput, p_t: f64) -> f64 {
     }
 }
 
-/// Per-bin fused contributions: `(sum◇_i, sum*_i)` of Eq. 7–8.
+/// `sum◇_i` of Eq. 7: for every simulation b, rank r*_ib among {r*_ib'}.
 #[inline]
-fn fused_bin_sums(input: &FdrInput, i: usize, p_t: f64) -> (u64, u64) {
+fn bin_diamond(input: &FdrInput, i: usize, p_t: f64) -> u64 {
     let sims = &input.simulations;
-    // sum◇_i (Eq. 7): for every b, rank r*_ib among {r*_ib'}.
-    let mut sum_diamond = 0u64;
-    for b in sims {
-        let rank_count = sims.iter().filter(|other| b[i] <= other[i]).count() as f64;
-        if rank_count <= p_t {
-            sum_diamond += 1;
-        }
+    sims.iter()
+        .filter(|b| sims.iter().filter(|other| b[i] <= other[i]).count() as f64 <= p_t)
+        .count() as u64
+}
+
+/// `sum*_i` of Eq. 8: the indicator on p_i.
+#[inline]
+fn bin_star(input: &FdrInput, i: usize, p_t: f64) -> u64 {
+    let p_i = input.simulations.iter().filter(|sim| input.observed[i] <= sim[i]).count() as f64;
+    u64::from(p_i <= p_t)
+}
+
+/// One rank's fused partial sums `(Σ sum◇_i, Σ sum*_i)` over `bins`, in
+/// a single pass (the summation permutation).
+fn fused_sums(input: &FdrInput, bins: Range<usize>, p_t: f64) -> (u64, u64) {
+    let mut diamond = 0u64;
+    let mut star = 0u64;
+    for i in bins {
+        diamond += bin_diamond(input, i, p_t);
+        star += bin_star(input, i, p_t);
     }
-    // sum*_i (Eq. 8): indicator on p_i.
-    let p_i = sims.iter().filter(|sim| input.observed[i] <= sim[i]).count() as f64;
-    let sum_star = u64::from(p_i <= p_t);
-    (sum_diamond, sum_star)
+    (diamond, star)
+}
+
+/// Phase 1 of the two-phase ablation: `Σ sum◇_i` over `bins`.
+fn diamond_sum(input: &FdrInput, bins: Range<usize>, p_t: f64) -> u64 {
+    bins.map(|i| bin_diamond(input, i, p_t)).sum()
+}
+
+/// Phase 2 of the two-phase ablation: `Σ sum*_i` over `bins`.
+fn star_sum(input: &FdrInput, bins: Range<usize>, p_t: f64) -> u64 {
+    bins.map(|i| bin_star(input, i, p_t)).sum()
 }
 
 /// The paper's fused single-pass formulation (Eq. 9), sequential.
 pub fn fdr_fused(input: &FdrInput, p_t: f64) -> f64 {
-    let b_count = input.rounds();
-    assert!(b_count > 0 && input.bins() > 0);
-    let mut diamond = 0u64;
-    let mut star = 0u64;
-    for i in 0..input.bins() {
-        let (d, s) = fused_bin_sums(input, i, p_t);
-        diamond += d;
-        star += s;
-    }
-    finish(diamond, star, b_count)
+    assert!(input.rounds() > 0 && input.bins() > 0);
+    let (diamond, star) = fused_sums(input, 0..input.bins(), p_t);
+    finish(diamond, star, input.rounds())
 }
 
 #[inline]
@@ -149,20 +171,9 @@ pub fn fdr_parallel(input: &FdrInput, p_t: f64, ranks: usize) -> f64 {
     let b_count = input.rounds();
 
     let results = run_ranks(ranks, |comm| {
-        let rank = comm.rank();
-        let size = comm.size();
-        // Line 1: even bin-direction partitioning.
-        let lo = rank * m / size;
-        let hi = (rank + 1) * m / size;
-
-        // Lines 2–3: local sums, fused in one pass.
-        let mut diamond = 0u64;
-        let mut star = 0u64;
-        for i in lo..hi {
-            let (d, s) = fused_bin_sums(input, i, p_t);
-            diamond += d;
-            star += s;
-        }
+        // Lines 1–3: even bin-direction partitioning; local sums, fused
+        // in one pass.
+        let (diamond, star) = fused_sums(input, rank_bins(comm.rank(), ranks, m), p_t);
 
         // Line 4: global barrier.
         comm.barrier();
@@ -201,38 +212,15 @@ pub fn fdr_parallel_two_phase(input: &FdrInput, p_t: f64, ranks: usize) -> f64 {
     let b_count = input.rounds();
 
     let results = run_ranks(ranks, |comm| {
-        let rank = comm.rank();
-        let size = comm.size();
-        let lo = rank * m / size;
-        let hi = (rank + 1) * m / size;
+        let bins = rank_bins(comm.rank(), ranks, m);
 
         // Phase 1: numerator only.
-        let mut diamond = 0u64;
-        for i in lo..hi {
-            let sims = &input.simulations;
-            for b in sims {
-                let rank_count =
-                    sims.iter().filter(|other| b[i] <= other[i]).count() as f64;
-                if rank_count <= p_t {
-                    diamond += 1;
-                }
-            }
-        }
+        let diamond = diamond_sum(input, bins.clone(), p_t);
         comm.barrier();
         let total_d = comm.all_reduce_sum_u64(0x31, diamond);
 
         // Phase 2: denominator only (second sweep + second reduction).
-        let mut star = 0u64;
-        for i in lo..hi {
-            let p_i = input
-                .simulations
-                .iter()
-                .filter(|sim| input.observed[i] <= sim[i])
-                .count() as f64;
-            if p_i <= p_t {
-                star += 1;
-            }
-        }
+        let star = star_sum(input, bins, p_t);
         comm.barrier();
         let total_s = comm.all_reduce_sum_u64(0x32, star);
 
@@ -241,10 +229,45 @@ pub fn fdr_parallel_two_phase(input: &FdrInput, p_t: f64, ranks: usize) -> f64 {
     results[0]
 }
 
-/// Crate-internal re-export used by the simulated execution mode.
-#[inline]
-pub(crate) fn fused_bin_sums_pub(input: &FdrInput, i: usize, p_t: f64) -> (u64, u64) {
-    fused_bin_sums(input, i, p_t)
+/// Simulated-cluster Algorithm 2: each rank's fused sums run alone and
+/// are timed; the single reduction is the serial time. Same result as
+/// [`fdr_parallel`].
+pub fn fdr_simulated(input: &FdrInput, p_t: f64, ranks: usize) -> (f64, SimTiming) {
+    assert!(ranks > 0);
+    let m = input.bins();
+    reduce_timed(
+        input,
+        run_ranks_alone(ranks, |rank| fused_sums(input, rank_bins(rank, ranks, m), p_t)),
+    )
+}
+
+/// Simulated-cluster two-phase FDR for the Figure 12 ablation: each rank
+/// runs both sweeps alone; the reductions are the serial time. Same
+/// result as [`fdr_parallel_two_phase`].
+pub fn fdr_simulated_two_phase(input: &FdrInput, p_t: f64, ranks: usize) -> (f64, SimTiming) {
+    assert!(ranks > 0);
+    let m = input.bins();
+    reduce_timed(
+        input,
+        run_ranks_alone(ranks, |rank| {
+            let bins = rank_bins(rank, ranks, m);
+            (diamond_sum(input, bins.clone(), p_t), star_sum(input, bins, p_t))
+        }),
+    )
+}
+
+/// The simulated runs' reduction: sums the per-rank `(◇, *)` partials
+/// and records the time it takes as the run's serial time.
+fn reduce_timed(
+    input: &FdrInput,
+    (partials, mut timing): (Vec<(u64, u64)>, SimTiming),
+) -> (f64, SimTiming) {
+    let t = Instant::now();
+    let diamond = partials.iter().map(|p| p.0).sum();
+    let star = partials.iter().map(|p| p.1).sum();
+    let fdr = finish(diamond, star, input.rounds());
+    timing.serial_time = t.elapsed();
+    (fdr, timing)
 }
 
 /// Sweeps thresholds, returning `(p_t, FDR(p_t))` pairs — the curve used
@@ -346,6 +369,47 @@ mod tests {
                 assert!((v - reference).abs() < 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn fdr_simulated_matches_fused() {
+        let input = crate::simulate::build_fdr_input(
+            (0..300).map(|i| (i % 13) as f64).collect(),
+            8,
+            crate::simulate::NullModel::Poisson,
+            2,
+        );
+        let reference = fdr_fused(&input, 2.0);
+        for ranks in [1, 3, 7] {
+            let (v, t) = fdr_simulated(&input, 2.0, ranks);
+            assert_eq!(v.to_bits(), reference.to_bits());
+            assert_eq!(t.rank_times.len(), ranks);
+            let (v2, _) = fdr_simulated_two_phase(&input, 2.0, ranks);
+            assert_eq!(v2.to_bits(), reference.to_bits());
+            // Two-phase does two sweeps: at equal rank counts its work is
+            // at least the fused version's. Each side is the least
+            // `total_work` of five runs, so one descheduled run cannot
+            // invert the comparison.
+            let least_work = |run: &dyn Fn() -> SimTiming| {
+                (0..5).map(|_| run().total_work()).min().unwrap()
+            };
+            let fused = least_work(&|| fdr_simulated(&input, 2.0, ranks).1);
+            let two_phase = least_work(&|| fdr_simulated_two_phase(&input, 2.0, ranks).1);
+            assert!(two_phase >= fused / 2, "ranks {ranks}: {two_phase:?} vs {fused:?}");
+        }
+    }
+
+    #[test]
+    fn makespan_below_total_work_for_multirank() {
+        let input = crate::simulate::build_fdr_input(
+            (0..2000).map(|i| (i % 9) as f64).collect(),
+            10,
+            crate::simulate::NullModel::Poisson,
+            3,
+        );
+        let (_, t) = fdr_simulated(&input, 3.0, 8);
+        assert!(t.makespan() <= t.total_work());
+        assert!(t.makespan() >= *t.rank_times.iter().max().unwrap());
     }
 
     #[test]

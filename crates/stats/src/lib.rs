@@ -14,17 +14,33 @@
 //!   two-barrier ablation;
 //! * [`mod@simulate`] — Poisson / permutation null models generating the
 //!   simulation datasets FDR scores against.
+//!
+//! Each parallel kernel has a simulated-cluster twin (`*_simulated`)
+//! that runs the same per-rank work under
+//! [`ngs_cluster::run_ranks_alone`] and reports a [`SimTiming`].
+
+use std::ops::Range;
 
 pub mod fdr;
 pub mod histogram;
 pub mod nlmeans;
 pub mod peaks;
 pub mod simulate;
-pub mod simulated;
 
-pub use fdr::{fdr_curve, fdr_direct, fdr_fused, fdr_parallel, fdr_parallel_two_phase, FdrInput};
+pub use fdr::{
+    fdr_curve, fdr_direct, fdr_fused, fdr_parallel, fdr_parallel_two_phase, fdr_simulated,
+    fdr_simulated_two_phase, FdrInput,
+};
 pub use histogram::{mse, psnr, BinnedCounts, CoverageHistogram};
-pub use nlmeans::{nlmeans_distributed, nlmeans_rayon, nlmeans_sequential, NlMeansParams};
+pub use nlmeans::{
+    nlmeans_distributed, nlmeans_rayon, nlmeans_sequential, nlmeans_simulated, NlMeansParams,
+};
 pub use peaks::{call_peaks, peaks_to_bed, pick_threshold, select_bins, Peak};
 pub use simulate::{build_fdr_input, simulate, NullModel};
-pub use simulated::{fdr_simulated, fdr_simulated_two_phase, nlmeans_simulated, SimTiming};
+pub use ngs_cluster::SimTiming;
+
+/// Bins of rank `rank` out of `ranks` under even partitioning of `m`
+/// bins (NL-means step 1, Algorithm 2 line 1).
+fn rank_bins(rank: usize, ranks: usize, m: usize) -> Range<usize> {
+    rank * m / ranks..(rank + 1) * m / ranks
+}

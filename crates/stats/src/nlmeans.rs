@@ -16,8 +16,12 @@
 //! into one chunk per rank, replicate an `r + l` halo from each
 //! neighbour, run NL-means over the enlarged chunk but only *update* the
 //! original chunk. Output is bit-identical to the sequential pass.
+//! [`nlmeans_simulated`] runs the same per-rank step under
+//! [`run_ranks_alone`] for the simulated-cluster figures (DESIGN.md §4b).
 
-use ngs_cluster::{run_ranks, Communicator};
+use ngs_cluster::{run_ranks, run_ranks_alone, Communicator, SimTiming};
+
+use crate::rank_bins;
 
 /// NL-means parameters (the paper's symbols: `r`, `l`, `sigma`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,7 +58,7 @@ fn patch_distance(data: &[f64], a: usize, b: usize, l: usize) -> f64 {
 
 /// Denoises `data[lo..hi]` given the full (or halo-extended) context in
 /// `data`, writing results into `out[0..hi-lo]`.
-pub(crate) fn denoise_range(data: &[f64], lo: usize, hi: usize, params: &NlMeansParams, out: &mut [f64]) {
+fn denoise_range(data: &[f64], lo: usize, hi: usize, params: &NlMeansParams, out: &mut [f64]) {
     let n = data.len();
     let r = params.search_radius;
     let l = params.half_patch;
@@ -74,25 +78,19 @@ pub(crate) fn denoise_range(data: &[f64], lo: usize, hi: usize, params: &NlMeans
     }
 }
 
-/// Crate-internal re-export used by the simulated execution mode.
-#[inline]
-pub(crate) fn denoise_range_pub(
-    data: &[f64],
-    lo: usize,
-    hi: usize,
-    params: &NlMeansParams,
-    out: &mut [f64],
-) {
-    denoise_range(data, lo, hi, params, out)
+/// Denoises `window[lo..hi]` — a chunk inside its halo-extended window —
+/// and returns the chunk's output (step 3 of the distributed version).
+fn denoise_chunk(window: &[f64], lo: usize, hi: usize, params: &NlMeansParams) -> Vec<f64> {
+    let mut out = vec![0.0; hi - lo];
+    if hi > lo {
+        denoise_range(window, lo, hi, params, &mut out);
+    }
+    out
 }
 
 /// Sequential NL-means over the whole histogram.
 pub fn nlmeans_sequential(data: &[f64], params: &NlMeansParams) -> Vec<f64> {
-    let mut out = vec![0.0; data.len()];
-    if !data.is_empty() {
-        denoise_range(data, 0, data.len(), params, &mut out);
-    }
-    out
+    denoise_chunk(data, 0, data.len(), params)
 }
 
 /// Shared-memory parallel NL-means using rayon; identical output to the
@@ -116,16 +114,30 @@ pub fn nlmeans_rayon(data: &[f64], params: &NlMeansParams) -> Vec<f64> {
 /// gathered back to rank 0 and returned from every rank for convenience.
 pub fn nlmeans_distributed(data: &[f64], params: &NlMeansParams, ranks: usize) -> Vec<f64> {
     assert!(ranks > 0);
-    let n = data.len();
-    if n == 0 {
+    if data.is_empty() {
         return Vec::new();
     }
-    let results = run_ranks(ranks, |comm| nlmeans_rank(data, params, comm));
-    let mut out = Vec::with_capacity(n);
-    for part in results {
-        out.extend_from_slice(&part);
-    }
-    out
+    run_ranks(ranks, |comm| nlmeans_rank(data, params, comm)).concat()
+}
+
+/// Simulated-cluster NL-means: each rank denoises the halo-extended
+/// window it would hold after the exchange, alone and timed. Output is
+/// identical to [`nlmeans_sequential`].
+pub fn nlmeans_simulated(
+    data: &[f64],
+    params: &NlMeansParams,
+    ranks: usize,
+) -> (Vec<f64>, SimTiming) {
+    assert!(ranks > 0);
+    let n = data.len();
+    let halo = params.search_radius + params.half_patch;
+    let (parts, timing) = run_ranks_alone(ranks, |rank| {
+        let bins = rank_bins(rank, ranks, n);
+        let ext_lo = bins.start.saturating_sub(halo);
+        let ext_hi = (bins.end + halo).min(n);
+        denoise_chunk(&data[ext_lo..ext_hi], bins.start - ext_lo, bins.end - ext_lo, params)
+    });
+    (parts.concat(), timing)
 }
 
 /// One rank's part of the distributed NL-means. `data` stands in for this
@@ -140,9 +152,7 @@ fn nlmeans_rank(data: &[f64], params: &NlMeansParams, comm: &Communicator) -> Ve
     let halo = params.search_radius + params.half_patch;
 
     // Step 1: even partitioning (bins, not bytes).
-    let lo = rank * n / size;
-    let hi = (rank + 1) * n / size;
-    let chunk = &data[lo..hi];
+    let chunk = &data[rank_bins(rank, size, n)];
 
     // Step 2: halo replication. Each rank sends its edge regions to its
     // neighbours — the paper's "replicate a fixed-sized ending region
@@ -198,11 +208,7 @@ fn nlmeans_rank(data: &[f64], params: &NlMeansParams, comm: &Communicator) -> Ve
     extended.extend_from_slice(&right_halo);
 
     // Step 3: process only the original partition inside P'_i.
-    let mut out = vec![0.0; chunk.len()];
-    if !chunk.is_empty() {
-        denoise_range(&extended, left_halo.len(), left_halo.len() + chunk.len(), params, &mut out);
-    }
-    out
+    denoise_chunk(&extended, left_halo.len(), left_halo.len() + chunk.len(), params)
 }
 
 #[cfg(test)]
@@ -305,6 +311,19 @@ mod tests {
         assert!(out[205] > 8.0);
         // Flat regions stay near 0.
         assert!(out[150] < 1.0);
+    }
+
+    #[test]
+    fn nlmeans_simulated_matches_sequential() {
+        let mut rng = Rng::seed_from_u64(1);
+        let data: Vec<f64> = (0..800).map(|_| rng.poisson(10.0) as f64).collect();
+        let params = NlMeansParams { search_radius: 8, half_patch: 3, sigma: 5.0 };
+        let seq = nlmeans_sequential(&data, &params);
+        for ranks in [1, 2, 5, 8] {
+            let (sim, timing) = nlmeans_simulated(&data, &params, ranks);
+            assert_eq!(sim, seq, "ranks {ranks}");
+            assert_eq!(timing.rank_times.len(), ranks);
+        }
     }
 
     #[test]
